@@ -1,8 +1,9 @@
 """NebulaMEOS — the paper's contribution.
 
-The integration layer: MEOS kernels registered into the stream engine
-as runtime operators (``udfs``), the eight demonstration queries as
-composable DataFrame transforms (``queries``), Structured-Streaming
-wrappers (``streaming``), and the ingestion-rate/throughput harness
-that reproduces the paper's Table 1 numbers (``throughput``).
+The integration layer: the eight demonstration queries as composable
+DataFrame transforms over the MEOS expression nodes of
+`repro.nebula.expressions` (``queries``), Structured-Streaming wrappers and
+the threshold-window detector (``streaming``), and the
+ingestion-rate/throughput harness that reproduces the paper's Table 1
+numbers (``throughput``).
 """

@@ -18,10 +18,14 @@ oracle-checked in tests/test_core_queries_*.py.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
+from pyspark.sql.types import DoubleType
 
 from repro.nebula.expressions import (
     EdWithinExpression,
@@ -35,7 +39,9 @@ from repro.sncb.sensors import (
     EMERGENCY_BAR,
     LOW_PRESSURE_BAR,
     OVERHEAT_THRESHOLD_C,
+    expected_battery_voltage,
 )
+from repro.sncb.trains import T0_EPOCH
 from repro.sncb.weather import CELL_SIZE_M, grid_origin
 from repro.sncb.zones import shapes_from_df
 
@@ -160,6 +166,15 @@ def q4_weather_speed_zones(events: DataFrame, weather: DataFrame) -> DataFrame:
 # Geospatial Complex Event Processing
 # ---------------------------------------------------------------------
 
+# A DataType, not a DDL string: parsing "double" needs a live session,
+# and this UDF is built at import.
+@pandas_udf(DoubleType())
+def _expected_v(ts_rel: pd.Series) -> pd.Series:
+    """The reference charge/discharge curve: the one non-geometric MEOS
+    kernel a query calls, so it stays an Arrow UDF (built once)."""
+    return pd.Series(expected_battery_voltage(ts_rel.to_numpy()))
+
+
 def q5_battery_monitoring(
     events: DataFrame,
     workshop_zones: pd.DataFrame,
@@ -182,15 +197,7 @@ def q5_battery_monitoring(
 
     ``t0`` anchors the cycle phase (default: stream epoch).
     """
-    from repro.sncb.sensors import expected_battery_voltage
-    from repro.sncb.trains import T0_EPOCH
-
     t0 = T0_EPOCH if t0 is None else t0
-
-    @pandas_udf("double")
-    def _expected_v(ts_rel: pd.Series) -> pd.Series:
-        return pd.Series(expected_battery_voltage(ts_rel.to_numpy()))
-
     shapes, ids = shapes_from_df(workshop_zones)
     nearest_ws = NearestZoneExpression(field("x"), field("y"), shapes, ids).to_column()
 
@@ -266,13 +273,51 @@ def q6_extra_train_suggestion(
     )
 
 
-def q7_unscheduled_stops(
-    events: DataFrame,
+@dataclass(frozen=True)
+class ThresholdQuery:
+    """A threshold-window query (Q7, Q8b) split into its two steps.
+
+    ``flag`` is a Spark projection of the events to ``train_id``,
+    ``ts``, the boolean ``flag_col`` and the columns the window reads;
+    MEOS zone predicates in it are compiled Catalyst expressions. The
+    other fields parameterise the threshold window, whose columns are
+    the query's output after ``renames`` (window column → output name).
+    The batch form (:meth:`run`) and the incremental detector
+    (`repro.core.streaming.ThresholdDetector`) both consume it.
+    """
+
+    flag: Callable[[DataFrame], DataFrame]
+    flag_col: str
+    min_duration_s: float
+    carry_cols: tuple[str, ...] = ()
+    value_cols: tuple[str, ...] = ()
+    renames: tuple[tuple[str, str], ...] = ()
+
+    def window_params(self) -> dict:
+        """Keyword arguments of `threshold_window` and
+        `ThresholdWindowOperator`: windows per train."""
+        return dict(
+            key_cols=["train_id"], flag_col=self.flag_col,
+            min_duration_s=self.min_duration_s,
+            value_cols=self.value_cols, carry_cols=self.carry_cols,
+        )
+
+    def output(self, wins: pd.DataFrame) -> pd.DataFrame:
+        """Driver-side windows in the batch form's columns."""
+        return wins.rename(columns=dict(self.renames))
+
+    def run(self, events: DataFrame) -> DataFrame:
+        """The batch form: threshold windows over the whole frame."""
+        wins = threshold_window(self.flag(events), **self.window_params())
+        return wins.withColumnsRenamed(dict(self.renames))
+
+
+def q7_threshold(
     allowed_zones: pd.DataFrame,
     *,
     min_stop_s: float = 60.0,
     speed_eps_ms: float = 0.5,
-) -> DataFrame:
+) -> ThresholdQuery:
     """Q7 — unscheduled stops (threshold window + geofence).
 
     Every event is geofence-checked against the allowed zones (stations
@@ -285,19 +330,25 @@ def q7_unscheduled_stops(
     shapes, _ = shapes_from_df(allowed_zones)
     in_allowed = EdWithinExpression(field("x"), field("y"), shapes, 0.0).to_column()
 
-    flagged = events.withColumn(
-        "stopped", F.col("speed_ms") < speed_eps_ms
-    ).withColumn("in_allowed", in_allowed)
-    stops = threshold_window(
-        flagged, key_cols=["train_id"], flag_col="stopped",
-        min_duration_s=min_stop_s, carry_cols=["x", "y", "in_allowed"],
+    def flag(events: DataFrame) -> DataFrame:
+        return events.select(
+            "train_id", "ts", "x", "y",
+            (F.col("speed_ms") < speed_eps_ms).alias("stopped"),
+            (~in_allowed).alias("outside_allowed"),
+        )
+
+    return ThresholdQuery(
+        flag=flag, flag_col="stopped", min_duration_s=min_stop_s,
+        carry_cols=("x", "y", "outside_allowed"),
+        renames=(("outside_allowed_first", "unscheduled"),),
     )
-    return stops.withColumn(
-        "unscheduled", ~F.col("in_allowed_first")
-    ).select(
-        "train_id", "w_start", "w_end", "duration_s", "n_events",
-        "x_first", "y_first", "unscheduled",
-    )
+
+
+def q7_unscheduled_stops(
+    events: DataFrame, allowed_zones: pd.DataFrame, **params
+) -> DataFrame:
+    """Q7 over a static frame; ``params`` as for :func:`q7_threshold`."""
+    return q7_threshold(allowed_zones, **params).run(events)
 
 
 def q8_emergency_clusters(
@@ -330,26 +381,32 @@ def q8_emergency_clusters(
     )
 
 
-def q8_low_pressure(
-    events: DataFrame,
+def q8b_threshold(
     *,
     low_bar: float = LOW_PRESSURE_BAR,
     min_duration_s: float = 120.0,
     moving_eps_kmh: float = 3.6,
-) -> DataFrame:
+) -> ThresholdQuery:
     """Q8b — persistent low brake pressure while moving.
 
     Threshold window per train over "pressure below ``low_bar`` while
     the train is moving"; runs of at least ``min_duration_s`` indicate
     decreasing brake effectiveness.
     """
-    flagged = events.withColumn(
-        "low_p", (F.col("brake_bar") < low_bar) & (F.col("speed_kmh") > moving_eps_kmh)
+
+    def flag(events: DataFrame) -> DataFrame:
+        return events.select(
+            "train_id", "ts", "brake_bar",
+            ((F.col("brake_bar") < low_bar) & (F.col("speed_kmh") > moving_eps_kmh))
+            .alias("low_p"),
+        )
+
+    return ThresholdQuery(
+        flag=flag, flag_col="low_p", min_duration_s=min_duration_s,
+        value_cols=("brake_bar",),
     )
-    return threshold_window(
-        flagged, key_cols=["train_id"], flag_col="low_p",
-        min_duration_s=min_duration_s, value_cols=["brake_bar"],
-    ).select(
-        "train_id", "w_start", "w_end", "duration_s", "n_events",
-        "brake_bar_mean", "brake_bar_min", "brake_bar_max",
-    )
+
+
+def q8_low_pressure(events: DataFrame, **params) -> DataFrame:
+    """Q8b over a static frame; ``params`` as for :func:`q8b_threshold`."""
+    return q8b_threshold(**params).run(events)

@@ -3,9 +3,10 @@
 Stateless queries (Q1, Q3, Q4) stream in append mode unchanged.
 Windowed aggregations (Q2, Q5, Q6, Q8a) get an event-time watermark.
 Threshold-window queries (Q7, Q8b) cannot use ``applyInPandas`` under
-Structured Streaming; they run through ``foreachBatch`` with the
-incremental :class:`~repro.nebula.windows.ThresholdWindowOperator`
-carrying open runs across micro-batches — the stateful-operator pattern
+Structured Streaming; a :class:`ThresholdDetector` runs them through
+``foreachBatch``, with the incremental
+:class:`~repro.nebula.windows.ThresholdWindowOperator` carrying open
+runs across micro-batches — the stateful-operator pattern
 an edge engine uses (and the reason NebulaMEOS had to extend the window
 framework rather than reuse stock operators).
 """
@@ -15,12 +16,9 @@ from collections.abc import Callable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import queries as Q
-from repro.meos.vectorized import min_zone_distance
 from repro.nebula.windows import ThresholdWindowOperator
-from repro.sncb.zones import shapes_from_df
 
 
 def q1_streaming(maintenance_zones) -> Callable[[DataFrame], DataFrame]:
@@ -73,130 +71,49 @@ def q8a_streaming(
 # foreachBatch path for threshold-window queries
 # ---------------------------------------------------------------------
 
-class Q7StopDetector:
-    """Q7 as a stateful micro-batch pipeline.
+class ThresholdDetector:
+    """A threshold-window query as a stateful micro-batch pipeline.
 
-    Per batch: project the event columns in Spark, feed the incremental
-    threshold operator (driver-side state), then geofence-check every
-    *closed* stop window against the allowed zones.
+    Per batch: the query's flag step runs in Spark (the same projection
+    the batch form runs), ``toPandas`` brings the flagged events to the
+    driver, and the incremental threshold operator carries open runs to
+    the next batch. Windows come out in the batch form's columns.
     """
 
-    def __init__(
-        self,
-        allowed_zones,
-        *,
-        min_stop_s: float = 60.0,
-        speed_eps_ms: float = 0.5,
-    ) -> None:
-        self.shapes, _ = shapes_from_df(allowed_zones)
-        self.speed_eps_ms = speed_eps_ms
-        self.op = ThresholdWindowOperator(
-            key_cols=["train_id"], flag_col="stopped",
-            min_duration_s=min_stop_s, carry_cols=["x", "y", "in_allowed"],
-        )
+    def __init__(self, query: Q.ThresholdQuery) -> None:
+        self.query = query
+        self.op = ThresholdWindowOperator(**query.window_params())
         self.windows: list[pd.DataFrame] = []
 
-    @staticmethod
-    def _classify(wins: pd.DataFrame) -> pd.DataFrame:
-        if len(wins):
-            wins = wins.copy()
-            wins["unscheduled"] = ~wins["in_allowed_first"].astype(bool)
-        return wins
-
-    def process_spark_batch(self, batch_df: DataFrame) -> pd.DataFrame:
-        # Per-event geofence predicate evaluated *in the engine* (Arrow
-        # UDF), exactly as the batch query does; only the stateful
-        # threshold operator runs on the driver.
-        shapes = self.shapes
-        from pyspark.sql.functions import pandas_udf
-
-        @pandas_udf("boolean")
-        def _in_allowed(xs: pd.Series, ys: pd.Series) -> pd.Series:
-            return pd.Series(
-                min_zone_distance(xs.to_numpy(), ys.to_numpy(), shapes) <= 0.0
-            )
-
-        pdf = (
-            batch_df.select(
-                "train_id", "ts", "x", "y",
-                (F.col("speed_ms") < self.speed_eps_ms).alias("stopped"),
-                _in_allowed(F.col("x"), F.col("y")).alias("in_allowed"),
-            )
-            .toPandas()
-        )
-        return self.process_pandas_batch(pdf)
-
-    def process_pandas_batch(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        """Feed pre-flagged events (with ``in_allowed``) to the
-        stateful operator; computes the flag itself if missing."""
-        if "in_allowed" not in pdf.columns:
-            pdf = pdf.copy()
-            pdf["in_allowed"] = (
-                min_zone_distance(pdf["x"].to_numpy(), pdf["y"].to_numpy(), self.shapes)
-                <= 0.0
-            )
-        wins = self._classify(self.op.process(pdf))
+    def _emit(self, wins: pd.DataFrame) -> pd.DataFrame:
+        wins = self.query.output(wins)
         if len(wins):
             self.windows.append(wins)
         return wins
+
+    def process_spark_batch(self, batch_df: DataFrame) -> pd.DataFrame:
+        """Feed one micro-batch; returns the windows it closed."""
+        return self._emit(self.op.process(self.query.flag(batch_df).toPandas()))
 
     def foreach_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         self.process_spark_batch(batch_df)
 
     def finish(self) -> pd.DataFrame:
         """Close open runs and return all windows detected so far."""
-        tail = self._classify(self.op.flush())
-        if len(tail):
-            self.windows.append(tail)
+        tail = self._emit(self.op.flush())
         if not self.windows:
-            return pd.DataFrame(
-                columns=["train_id", "w_start", "w_end", "duration_s",
-                         "n_events", "x_first", "y_first", "unscheduled"]
-            )
+            return tail  # empty, in the batch form's columns
         return pd.concat(self.windows, ignore_index=True)
 
 
-class Q8LowPressureDetector:
-    """Q8b (persistent low pressure) as a stateful micro-batch pipeline."""
+def Q7StopDetector(allowed_zones, **params) -> ThresholdDetector:
+    """Q7 on micro-batches; ``params`` as for `queries.q7_threshold`."""
+    return ThresholdDetector(Q.q7_threshold(allowed_zones, **params))
 
-    def __init__(
-        self, *, low_bar: float = 4.5, min_duration_s: float = 120.0,
-        moving_eps_kmh: float = 3.6,
-    ) -> None:
-        self.low_bar = low_bar
-        self.moving_eps_kmh = moving_eps_kmh
-        self.op = ThresholdWindowOperator(
-            key_cols=["train_id"], flag_col="low_p",
-            min_duration_s=min_duration_s, value_cols=["brake_bar"],
-        )
-        self.windows: list[pd.DataFrame] = []
 
-    def process_spark_batch(self, batch_df: DataFrame) -> pd.DataFrame:
-        pdf = (
-            batch_df.select(
-                "train_id", "ts", "brake_bar",
-                (
-                    (F.col("brake_bar") < self.low_bar)
-                    & (F.col("speed_kmh") > self.moving_eps_kmh)
-                ).alias("low_p"),
-            )
-            .toPandas()
-        )
-        wins = self.op.process(pdf)
-        if len(wins):
-            self.windows.append(wins)
-        return wins
-
-    def foreach_batch(self, batch_df: DataFrame, batch_id: int) -> None:
-        self.process_spark_batch(batch_df)
-
-    def finish(self) -> pd.DataFrame:
-        tail = self.op.flush()
-        if len(tail):
-            self.windows.append(tail)
-        if not self.windows:
-            return pd.DataFrame()
-        return pd.concat(self.windows, ignore_index=True)
+def Q8LowPressureDetector(**params) -> ThresholdDetector:
+    """Q8b on micro-batches; ``params`` as for `queries.q8b_threshold`."""
+    return ThresholdDetector(Q.q8b_threshold(**params))
 
 
 def run_foreach_batch_stream(

@@ -3,8 +3,8 @@
 MEOS processes one temporal value at a time; a stream engine processes
 *buffers* of events. These helpers evaluate the MEOS predicates over
 whole numpy/pandas batches at once — the exact shape NebulaMEOS's
-operators need when invoked from the expression framework, and what the
-`core.udfs` plugin registers into Spark.
+operators need when invoked from the expression framework (the
+interpreted, ``compile=False`` path of `nebula.expressions`).
 
 All functions take plain numpy arrays of x/y metres so they can be
 called from ``pandas_udf`` bodies without conversion overhead.

@@ -1,14 +1,12 @@
-"""Query execution: batch, micro-batch, and Structured Streaming.
+"""Query execution: micro-batch splitting and Structured Streaming.
 
-The same query — a ``DataFrame → DataFrame`` transform — runs on three
-paths, mirroring how a NebulaStream query executes identically whether
-fed from a replayed file or a live source:
+The same query — a ``DataFrame → DataFrame`` transform — runs on a
+static DataFrame, on each micro-batch of a replayed stream, and under
+Spark Structured Streaming, mirroring how a NebulaStream query executes
+identically whether fed from a replayed file or a live source:
 
-* :func:`run_batch` — apply the transform to a static DataFrame.
-* :func:`run_micro_batches` — deterministic micro-batch loop: the
-  event stream is split into fixed-size batches, each converted through
-  Arrow and pushed through the transform; used by the throughput
-  harness (stable timing, no streaming-trigger jitter).
+* :func:`split_batches` — cut an event frame into contiguous
+  micro-batches (the throughput harness feeds each to the transform).
 * :func:`stream_from_files` + :func:`run_streaming_to_memory` — real
   Spark Structured Streaming: events are written as JSON part files,
   read with ``readStream``, and collected through a memory sink. Tests
@@ -30,11 +28,6 @@ from pyspark.sql import types as T
 Transform = Callable[[DataFrame], DataFrame]
 
 
-def run_batch(transform: Transform, df: DataFrame) -> DataFrame:
-    """Apply a query transform to a static DataFrame."""
-    return transform(df)
-
-
 def split_batches(pdf: pd.DataFrame, batch_rows: int) -> Iterator[pd.DataFrame]:
     """Split an event frame into contiguous micro-batches (stream order
     = frame order)."""
@@ -42,30 +35,6 @@ def split_batches(pdf: pd.DataFrame, batch_rows: int) -> Iterator[pd.DataFrame]:
         raise ValueError("batch_rows must be positive")
     for i in range(0, len(pdf), batch_rows):
         yield pdf.iloc[i : i + batch_rows]
-
-
-def run_micro_batches(
-    spark: SparkSession,
-    transform: Transform,
-    pdf: pd.DataFrame,
-    *,
-    batch_rows: int,
-    sink: Callable[[pd.DataFrame], None] | None = None,
-) -> int:
-    """Run the transform over micro-batches; returns total result rows.
-
-    Each batch becomes a Spark DataFrame (Arrow path), flows through
-    ``transform``, and is materialised — the per-buffer execution model
-    of an edge stream engine. ``sink`` receives each result batch.
-    """
-    total = 0
-    for batch in split_batches(pdf, batch_rows):
-        sdf = spark.createDataFrame(batch)
-        out = transform(sdf).toPandas()
-        total += len(out)
-        if sink is not None:
-            sink(out)
-    return total
 
 
 # ---------------------------------------------------------------------

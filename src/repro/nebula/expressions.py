@@ -157,20 +157,21 @@ class MeosExpression(Expression):
     """
 
 
-def _zone_dist2_column(x: Column, y: Column, zone) -> Column:
-    """Squared distance from (x, y) to a Rect/Circle zone as a Catalyst
-    expression (0 inside)."""
+def _zone_dist_column(x: Column, y: Column, zone) -> Column:
+    """Distance from (x, y) to a Rect/Circle zone as a Catalyst
+    expression (0 inside), the arithmetic of the zone's numpy
+    ``distance``. ``hypot`` keeps each operand a single subtree: Catalyst
+    folds a projection over a local relation with its interpreted
+    evaluator, which would evaluate a squared operand twice."""
     from repro.meos.geometry import Circle, Rect
 
     if isinstance(zone, Rect):
         ddx = F.greatest(F.lit(zone.xmin) - x, x - F.lit(zone.xmax), F.lit(0.0))
         ddy = F.greatest(F.lit(zone.ymin) - y, y - F.lit(zone.ymax), F.lit(0.0))
-        return ddx * ddx + ddy * ddy
+        return F.hypot(ddx, ddy)
     if isinstance(zone, Circle):
-        dx, dy = x - F.lit(zone.cx), y - F.lit(zone.cy)
-        centre = F.sqrt(dx * dx + dy * dy)
-        d = F.greatest(centre - F.lit(zone.r), F.lit(0.0))
-        return d * d
+        centre = F.hypot(x - F.lit(zone.cx), y - F.lit(zone.cy))
+        return F.greatest(centre - F.lit(zone.r), F.lit(0.0))
     raise TypeError(f"cannot compile {type(zone).__name__}")
 
 
@@ -199,10 +200,9 @@ class EdWithinExpression(MeosExpression):
         if self.compile:
             if not zones:
                 return F.lit(False)
-            d2 = F.lit(float(d) ** 2)
             pred = None
             for z in zones:
-                term = _zone_dist2_column(xc, yc, z) <= d2
+                term = _zone_dist_column(xc, yc, z) <= F.lit(float(d))
                 pred = term if pred is None else (pred | term)
             return pred
 
@@ -274,7 +274,7 @@ class ZoneIdExpression(MeosExpression):
             # First-match-wins CASE chain, codegen'd by Catalyst.
             expr = None
             for z, zid in zip(zones, ids):
-                contains = _zone_dist2_column(xc, yc, z) <= F.lit(0.0)
+                contains = _zone_dist_column(xc, yc, z) <= F.lit(0.0)
                 expr = (
                     F.when(contains, F.lit(int(zid)))
                     if expr is None
@@ -308,7 +308,7 @@ class NearestZoneExpression(MeosExpression):
         if self.compile:
             if not zones:
                 return F.lit(-1).cast("long")
-            dists = [_zone_dist2_column(xc, yc, z) for z in zones]
+            dists = [_zone_dist_column(xc, yc, z) for z in zones]
             dmin = dists[0] if len(dists) == 1 else F.least(*dists)
             expr = F.when(dists[0] == dmin, F.lit(int(ids[0])))
             for d, zid in zip(dists[1:], ids[1:]):

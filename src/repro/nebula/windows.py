@@ -109,6 +109,19 @@ def _runs_to_windows(
     return pd.DataFrame(rows)
 
 
+def _window_columns(
+    key_cols: Sequence[str],
+    value_cols: Sequence[str],
+    carry_cols: Sequence[str],
+) -> list[str]:
+    """Column names of a threshold-window result, in schema order."""
+    cols = [*key_cols, "w_start", "w_end", "duration_s", "n_events"]
+    cols += [f"{c}_first" for c in carry_cols]
+    for c in value_cols:
+        cols += [f"{c}_mean", f"{c}_min", f"{c}_max"]
+    return cols
+
+
 def _window_schema(
     df: DataFrame,
     key_cols: Sequence[str],
@@ -116,12 +129,10 @@ def _window_schema(
     carry_cols: Sequence[str],
 ) -> str:
     type_of = dict(df.dtypes)
-    parts = [f"{k} {type_of[k]}" for k in key_cols]
-    parts += ["w_start double", "w_end double", "duration_s double", "n_events long"]
-    parts += [f"{c}_first {type_of[c]}" for c in carry_cols]
-    for c in value_cols:
-        parts += [f"{c}_mean double", f"{c}_min double", f"{c}_max double"]
-    return ", ".join(parts)
+    types = {k: type_of[k] for k in key_cols} | {"n_events": "long"}
+    types |= {f"{c}_first": type_of[c] for c in carry_cols}
+    columns = _window_columns(key_cols, value_cols, carry_cols)
+    return ", ".join(f"{c} {types.get(c, 'double')}" for c in columns)
 
 
 def threshold_window(
@@ -144,6 +155,7 @@ def threshold_window(
     value_cols = list(value_cols)
     carry_cols = list(carry_cols)
     schema = _window_schema(df, key_cols, value_cols, carry_cols)
+    columns = _window_columns(key_cols, value_cols, carry_cols)
 
     def fn(key, pdf):
         out = _runs_to_windows(
@@ -153,10 +165,10 @@ def threshold_window(
         )
         if out.empty:
             # Preserve schema for empty groups.
-            return pd.DataFrame(columns=[f.split(" ")[0] for f in schema.split(", ")])
+            return pd.DataFrame(columns=columns)
         for k, v in zip(key_cols, key):
             out[k] = v
-        return out[[f.split(" ")[0] for f in schema.split(", ")]]
+        return out[columns]
 
     return df.groupBy(*key_cols).applyInPandas(fn, schema)
 
@@ -168,7 +180,7 @@ class ThresholdWindowOperator:
     and prepends it to the next batch — the stateful-operator behaviour
     a stream engine needs so windows spanning batch boundaries are not
     lost or split. ``flush()`` closes any still-open runs at end of
-    stream.
+    stream. Both return the window columns even when no window closed.
     """
 
     def __init__(
@@ -187,6 +199,7 @@ class ThresholdWindowOperator:
         self.min_duration_s = min_duration_s
         self.value_cols = list(value_cols)
         self.carry_cols = list(carry_cols)
+        self.columns = _window_columns(self.key_cols, self.value_cols, self.carry_cols)
         self._pending: dict[tuple, pd.DataFrame] = {}
 
     def _close(self, pdf: pd.DataFrame, *, final: bool) -> tuple[pd.DataFrame, pd.DataFrame]:
@@ -205,6 +218,11 @@ class ThresholdWindowOperator:
         )
         return wins, tail
 
+    def _result(self, out: list[pd.DataFrame]) -> pd.DataFrame:
+        if not out:
+            return pd.DataFrame(columns=self.columns)
+        return pd.concat(out, ignore_index=True)[self.columns]
+
     def process(self, batch: pd.DataFrame) -> pd.DataFrame:
         """Feed one micro-batch; returns windows closed by this batch."""
         out = []
@@ -221,7 +239,7 @@ class ThresholdWindowOperator:
                 for k, v in zip(self.key_cols, key):
                     wins[k] = v
                 out.append(wins)
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+        return self._result(out)
 
     def flush(self) -> pd.DataFrame:
         """Close all open runs (end of stream)."""
@@ -233,4 +251,4 @@ class ThresholdWindowOperator:
                     wins[k] = v
                 out.append(wins)
         self._pending.clear()
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+        return self._result(out)

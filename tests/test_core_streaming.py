@@ -23,11 +23,21 @@ from repro.core.streaming import (
 )
 from repro.nebula.engine import (
     _spark_schema_of,
+    split_batches,
     stream_events_end_to_end,
     stream_from_files,
     write_stream_files,
 )
+from repro.sncb.network import N_TRAINS
+from repro.sncb.sensors import LOW_PRESSURE_BAR
 from repro.sncb.zones import zones_df
+
+#: One tick of a time-ordered stream: one event per train.
+TICK_ROWS = N_TRAINS
+#: Ticks replayed one per batch. Each batch is a Spark job (~0.1 s), so
+#: the 40/60 min fixtures are cut to their first 200 s, which still hold
+#: closed Q7 stops and a Q8b run left open across ~140 batches.
+TICK_PREFIX = 200
 
 
 def _canon(pdf, cols):
@@ -140,3 +150,64 @@ class TestQ8bForeachBatch:
         batch = Q.q8_low_pressure(brake_sdf).toPandas()
         cols = ["train_id", "w_start", "w_end", "n_events"]
         pd.testing.assert_frame_equal(_canon(streamed, cols), _canon(batch, cols))
+
+
+def _threshold_case(query):
+    """(event fixture, detector factory, batch form) of a threshold query."""
+    if query == "q7":
+        allowed = zones_df(["station", "workshop"])
+        return (
+            "stop_pdf",
+            lambda: Q7StopDetector(allowed),
+            lambda df: Q.q7_unscheduled_stops(df, allowed),
+        )
+    return "brake_pdf", Q8LowPressureDetector, Q.q8_low_pressure
+
+
+class TestDetectorBatchSizes:
+    @pytest.mark.parametrize(
+        "batch_rows", [TICK_ROWS, 997, None], ids=["tick", "997", "whole"]
+    )
+    @pytest.mark.parametrize("query", ["q7", "q8b"])
+    def test_finish_matches_batch_form(self, spark, request, query, batch_rows):
+        """However the time-ordered stream is cut, with an empty batch
+        in the middle, the detector finds the batch form's rows,
+        including Q7's ``unscheduled`` flags."""
+        fixture, make_detector, batch_form = _threshold_case(query)
+        pdf = request.getfixturevalue(fixture).sort_values(
+            ["ts", "train_id"], kind="stable"
+        )
+        if batch_rows == TICK_ROWS:
+            pdf = pdf.iloc[: TICK_PREFIX * TICK_ROWS]
+        pdf = pdf.reset_index(drop=True)
+        whole = spark.createDataFrame(pdf)
+        batches = list(split_batches(pdf, batch_rows or len(pdf)))
+        batches.insert(len(batches) // 2, pdf.iloc[0:0])
+
+        det = make_detector()
+        for b in batches:
+            det.process_spark_batch(spark.createDataFrame(b, schema=whole.schema))
+        got = det.finish()
+        want = batch_form(whole).toPandas()
+
+        assert len(want) > 0
+        assert list(got.columns) == list(want.columns)
+        keys = ["train_id", "w_start"]
+        pd.testing.assert_frame_equal(
+            got.sort_values(keys).reset_index(drop=True),
+            want.sort_values(keys).reset_index(drop=True),
+            check_dtype=False,
+        )
+
+
+class TestDetectorEmptyResults:
+    def test_q8b_without_low_pressure_keeps_batch_columns(self, spark, brake_pdf, brake_sdf):
+        no_low = brake_pdf[brake_pdf["brake_bar"] >= LOW_PRESSURE_BAR]
+        columns = Q.q8_low_pressure(brake_sdf).columns
+        det = Q8LowPressureDetector()
+        for part in split_batches(no_low, len(no_low) // 2 + 1):
+            wins = det.process_spark_batch(spark.createDataFrame(part))
+            assert len(wins) == 0 and list(wins.columns) == columns
+        got = det.finish()
+        assert len(got) == 0
+        assert list(got.columns) == columns

@@ -9,6 +9,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import queries as Q
+from repro.core.streaming import Q7StopDetector
 from repro.meos.geometry import Circle, Polygon, Rect
 from repro.meos.stbox import STBox
 from repro.nebula.expressions import (
@@ -147,3 +149,30 @@ class TestStboxCompilation:
             ),
         )
         np.testing.assert_array_equal(c, i)
+
+
+def _python_eval_nodes(df) -> list[str]:
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    return [n for n in ("ArrowEvalPython", "BatchEvalPython") if n in plan]
+
+
+class TestQueryPlans:
+    """The compiled/interpreted rule: rect/circle zone predicates compile
+    to Catalyst, so a query over such zones evaluates no Python UDF;
+    Q5's battery curve is the one UDF a query uses."""
+
+    def test_zone_queries_evaluate_no_python_udf(self, geofence_sdf, stop_sdf):
+        plans = {
+            "q1": Q.q1_alert_filtering(geofence_sdf, zones_df(["maintenance"])),
+            "q2": Q.q2_noise_monitoring(geofence_sdf, zones_df(["neighbourhood"])),
+            "q3": Q.q3_dynamic_speed_limit(geofence_sdf, zones_df(["curve"])),
+            "q7 flag step": Q7StopDetector(
+                zones_df(["station", "workshop"])
+            ).query.flag(stop_sdf),
+        }
+        found = {name: _python_eval_nodes(df) for name, df in plans.items()}
+        assert found == dict.fromkeys(plans, [])
+
+    def test_q5_curve_is_an_arrow_udf(self, battery_sdf):
+        df = Q.q5_battery_monitoring(battery_sdf, zones_df(["workshop"]))
+        assert _python_eval_nodes(df) == ["ArrowEvalPython"]

@@ -237,6 +237,16 @@ class TestThresholdWindowOperator:
         op.flush()
         assert len(op.flush()) == 0
 
+    def test_no_run_batch_keeps_window_columns(self):
+        op = self._op()
+        columns = [
+            "train", "w_start", "w_end", "duration_s", "n_events", "x_first",
+            "speed_mean", "speed_min", "speed_max",
+        ]
+        for out in (op.process(stop_frame().assign(stopped=False)), op.flush()):
+            assert len(out) == 0
+            assert list(out.columns) == columns
+
     def test_multiple_keys_tracked_independently(self):
         pdf = stop_frame()
         op = self._op()
