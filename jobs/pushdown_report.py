@@ -1,20 +1,37 @@
 """Table 1b — uplink bytes under cloud vs push-down placement.
 
-    python jobs/pushdown_report.py [--duration-s 3600]
+    PYTHONPATH=src python jobs/pushdown_report.py [--duration-s 3600]
 
 Quantifies the paper's "push computation to IoT devices" claim on the
-simulated coordinator/worker topology with selectivities measured on
-the synthetic SNCB streams (no Spark needed — edge-side operators are
-the MEOS numpy kernels).
+simulated coordinator/worker topology. The edge-side selectivities are
+the real query outputs over the whole stream: Q1's surviving alerts and
+Q7's stop windows, each divided by the number of input events.
 """
 import argparse
 
-import numpy as np
-
-from repro.meos.vectorized import in_any_zone, run_lengths
+from repro.core.queries import q1_alert_filtering, q7_unscheduled_stops
 from repro.nebula.topology import Operator, Topology, place, transfer_bytes
-from repro.sncb.events import event_size_for_query, geofence_events, stop_events
-from repro.sncb.zones import shapes_from_df, zones_df
+from repro.sncb.events import (
+    Q7_WINDOW_RECORD_B,
+    event_size_for_query,
+    geofence_events,
+    stop_events,
+)
+from repro.sncb.zones import zones_df
+
+from _common import get_spark
+
+
+def report(qid: str, label: str, op: Operator, n_events: int) -> None:
+    """Print the uplink of ``op`` over ``n_events`` under both placements."""
+    size = event_size_for_query(qid)
+    for strat in ("cloud", "pushdown"):
+        rep = transfer_bytes([op], place([op], strat), n_events=n_events, event_size=size)
+        print(
+            f"{qid.upper()}  {strat:<9} uplink={rep.bytes_shipped/1e6:8.3f} MB "
+            f"({rep.events_shipped:,} {label}, savings {rep.savings_frac:.1%})"
+        )
+
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
@@ -22,44 +39,24 @@ if __name__ == "__main__":
     p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
+    stream = dict(duration_s=args.duration_s, dt=args.dt, seed=args.seed)
 
-    topo = Topology(6)
-    print(f"topology: {len(topo.edges)} edge workers + 1 coordinator\n")
+    spark = get_spark("nebulameos-pushdown")
+    spark.sparkContext.setLogLevel("ERROR")
+    print(f"topology: {len(Topology(6).edges)} edge workers + 1 coordinator\n")
 
     # Q1: alert filter at the edge.
-    gf = geofence_events(duration_s=args.duration_s, dt=args.dt, seed=args.seed)
-    shapes, _ = shapes_from_df(zones_df(["maintenance"]))
-    keep = (
-        (gf["alert_kind"] != "").to_numpy()
-        & (
-            gf["alert_essential"].to_numpy()
-            | ~in_any_zone(gf["x"].to_numpy(), gf["y"].to_numpy(), shapes)
-        )
-    )
-    ops = [Operator("q1_filter", selectivity=float(keep.mean()))]
-    size = event_size_for_query("q1")
-    for strat in ("cloud", "pushdown"):
-        rep = transfer_bytes(ops, place(ops, strat), n_events=len(gf), event_size=size)
-        print(
-            f"Q1  {strat:<9} uplink={rep.bytes_shipped/1e6:8.3f} MB "
-            f"({rep.events_shipped:,} events, savings {rep.savings_frac:.1%})"
-        )
+    gf = geofence_events(**stream)
+    n_alerts = q1_alert_filtering(
+        spark.createDataFrame(gf), zones_df(["maintenance"])
+    ).count()
+    report("q1", "events", Operator("q1_filter", n_alerts / len(gf)), len(gf))
 
     # Q7: stop-window detection at the edge.
-    st = stop_events(duration_s=args.duration_s, dt=args.dt, seed=args.seed)
-    n_windows = 0
-    for _, g in st.groupby("train_id", sort=False):
-        flag = g["speed_ms"].to_numpy() < 0.5
-        ts = g["ts"].to_numpy()
-        s, e, _ = run_lengths(flag)
-        n_windows += int(np.sum(ts[e - 1] - ts[s] >= 60.0))
-    ops7 = [
-        Operator("q7_windows", selectivity=n_windows / len(st), out_event_size=64)
-    ]
-    size7 = event_size_for_query("q7")
-    for strat in ("cloud", "pushdown"):
-        rep = transfer_bytes(ops7, place(ops7, strat), n_events=len(st), event_size=size7)
-        print(
-            f"Q7  {strat:<9} uplink={rep.bytes_shipped/1e6:8.3f} MB "
-            f"({rep.events_shipped:,} records, savings {rep.savings_frac:.1%})"
-        )
+    st = stop_events(**stream)
+    n_windows = q7_unscheduled_stops(
+        spark.createDataFrame(st), zones_df(["station", "workshop"])
+    ).count()
+    op7 = Operator("q7_windows", n_windows / len(st), out_event_size=Q7_WINDOW_RECORD_B)
+    report("q7", "records", op7, len(st))
+    spark.stop()

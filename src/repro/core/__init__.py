@@ -2,8 +2,7 @@
 
 The integration layer: the eight demonstration queries as composable
 DataFrame transforms over the MEOS expression nodes of
-`repro.nebula.expressions` (``queries``), Structured-Streaming wrappers and
-the threshold-window detector (``streaming``), and the
-ingestion-rate/throughput harness that reproduces the paper's Table 1
-numbers (``throughput``).
+`repro.nebula.expressions` (``queries``), and the Structured-Streaming
+wrappers and the threshold-window detector (``streaming``). Table 1 is
+measured by the repository's benchmark, ``perfbench``.
 """

@@ -18,6 +18,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import queries as Q
+from repro.nebula.engine import run_available_now
 from repro.nebula.windows import ThresholdWindowOperator
 
 
@@ -124,15 +125,12 @@ def run_foreach_batch_stream(
     timeout_s: float = 120.0,
 ) -> pd.DataFrame:
     """Drive a streaming source through a stateful detector via
-    ``foreachBatch`` and return the detector's collected windows."""
-    query = (
-        source.writeStream.foreachBatch(detector.foreach_batch)
-        .trigger(availableNow=True)
-        .start()
+    ``foreachBatch`` and return the detector's collected windows.
+
+    Raises ``TimeoutError`` if the stream is not done after
+    ``timeout_s``; open runs are then not flushed.
+    """
+    run_available_now(
+        source.writeStream.foreachBatch(detector.foreach_batch), timeout_s
     )
-    try:
-        query.awaitTermination(timeout_s)
-    finally:
-        if query.isActive:
-            query.stop()
     return detector.finish()

@@ -6,11 +6,13 @@ Spark Structured Streaming, mirroring how a NebulaStream query executes
 identically whether fed from a replayed file or a live source:
 
 * :func:`split_batches` — cut an event frame into contiguous
-  micro-batches (the throughput harness feeds each to the transform).
+  micro-batches (tests use it to feed one transform batch by batch).
 * :func:`stream_from_files` + :func:`run_streaming_to_memory` — real
   Spark Structured Streaming: events are written as JSON part files,
   read with ``readStream``, and collected through a memory sink. Tests
   use this path to prove watermark/window behaviour end-to-end.
+  :func:`run_available_now` is the one start → await → stop step every
+  streaming run goes through.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from collections.abc import Callable, Iterator
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
+from pyspark.sql.streaming import DataStreamWriter
 
 Transform = Callable[[DataFrame], DataFrame]
 
@@ -85,6 +88,25 @@ def stream_from_files(
     )
 
 
+def run_available_now(writer: DataStreamWriter, timeout_s: float) -> None:
+    """Start ``writer`` with an ``availableNow`` trigger and wait until it
+    has processed everything available.
+
+    Raises ``TimeoutError`` if the query is still active after
+    ``timeout_s``: its sink then holds a partial result. The query is
+    stopped either way.
+    """
+    query = writer.trigger(availableNow=True).start()
+    try:
+        if not query.awaitTermination(timeout_s):
+            raise TimeoutError(
+                f"streaming query still active after {timeout_s} s"
+            )
+    finally:
+        if query.isActive:
+            query.stop()
+
+
 def run_streaming_to_memory(
     sdf: DataFrame,
     *,
@@ -92,23 +114,14 @@ def run_streaming_to_memory(
     output_mode: str = "append",
     timeout_s: float = 120.0,
 ) -> pd.DataFrame:
-    """Start the streaming query with a memory sink, process everything
+    """Run the streaming query into a memory sink over everything
     available, and return the collected result."""
     name = query_name or f"q_{uuid.uuid4().hex[:8]}"
-    query = (
-        sdf.writeStream.format("memory")
-        .queryName(name)
-        .outputMode(output_mode)
-        .trigger(availableNow=True)
-        .start()
+    run_available_now(
+        sdf.writeStream.format("memory").queryName(name).outputMode(output_mode),
+        timeout_s,
     )
-    try:
-        query.awaitTermination(timeout_s)
-    finally:
-        if query.isActive:
-            query.stop()
-    spark = sdf.sparkSession
-    return spark.table(name).toPandas()
+    return sdf.sparkSession.table(name).toPandas()
 
 
 def stream_events_end_to_end(

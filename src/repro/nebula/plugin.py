@@ -4,8 +4,9 @@
 dynamic registration, enabling the integration of domain-specific
 operator logic, including calling MEOS functions." This module is that
 mechanism: expression factories are registered under a name at runtime
-and resolved when queries are built; ``load_meos_plugin`` performs the
-NebulaMEOS integration by registering every MEOS-backed expression.
+and built by name; ``load_meos_plugin`` registers every MEOS-backed
+expression. The eight queries construct their expression nodes directly
+and do not resolve them here; only the registry's own tests use it.
 """
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ devices". With no Raspberry Pi available, this module simulates that
 deployment dimension: a star topology (one edge worker per train under
 a cloud coordinator), operator placement strategies, and
 transferred-byte accounting — making the push-down claim quantifiable
-(benchmarks/bench_pushdown.py, Table 1b).
+(``jobs/pushdown_report.py``, Table 1b).
 
 The *data plane* still runs in Spark; this is the control-plane model
 that decides where each operator would run and how many bytes cross the

@@ -57,6 +57,10 @@ SCHEMAS: dict[str, list[tuple[str, int]]] = {
     ],
 }
 
+#: Wire bytes of one Q7 stop-window record: train, bounds, duration,
+#: position, flag (what an edge worker ships instead of raw events).
+Q7_WINDOW_RECORD_B = 64
+
 #: query id → schema key.
 QUERY_SCHEMA: dict[str, str] = {
     "q1": "geofence", "q2": "geofence", "q3": "geofence", "q4": "geofence",
@@ -140,9 +144,3 @@ def brake_events(
     df = _with_seq(df)
     return df[_payload_columns("brake") + ["t"]]
 
-
-EVENT_BUILDERS = {
-    "q1": geofence_events, "q2": geofence_events, "q3": geofence_events,
-    "q4": geofence_events, "q5": battery_events, "q6": passenger_events,
-    "q7": stop_events, "q8": brake_events,
-}

@@ -23,6 +23,7 @@ from repro.core.streaming import (
 )
 from repro.nebula.engine import (
     _spark_schema_of,
+    run_streaming_to_memory,
     split_batches,
     stream_events_end_to_end,
     stream_from_files,
@@ -211,3 +212,23 @@ class TestDetectorEmptyResults:
         got = det.finish()
         assert len(got) == 0
         assert list(got.columns) == columns
+
+
+class TestStreamingTimeout:
+    """A stream that is not done by its timeout raises instead of
+    returning the rows collected so far."""
+
+    @pytest.fixture
+    def stop_source(self, spark, stop_pdf, tmp_path):
+        file_pdf = stop_pdf.drop(columns=["t", "dwell"])
+        write_stream_files(file_pdf, str(tmp_path), n_files=10)
+        return stream_from_files(spark, str(tmp_path), _spark_schema_of(spark, file_pdf))
+
+    def test_memory_sink_raises(self, stop_source):
+        with pytest.raises(TimeoutError):
+            run_streaming_to_memory(stop_source, timeout_s=0.001)
+
+    def test_foreach_batch_raises(self, spark, stop_source):
+        det = Q7StopDetector(zones_df(["station", "workshop"]))
+        with pytest.raises(TimeoutError):
+            run_foreach_batch_stream(spark, stop_source, det, timeout_s=0.001)

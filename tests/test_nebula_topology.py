@@ -1,6 +1,7 @@
 """Tests for repro.nebula.topology — placement and uplink accounting."""
 import pytest
 
+from repro.core.queries import q1_alert_filtering, q7_unscheduled_stops
 from repro.nebula.topology import (
     Node,
     Operator,
@@ -9,6 +10,8 @@ from repro.nebula.topology import (
     place,
     transfer_bytes,
 )
+from repro.sncb.events import Q7_WINDOW_RECORD_B, event_size_for_query
+from repro.sncb.zones import zones_df
 
 CHAIN = [
     Operator("geofence_filter", selectivity=0.1),
@@ -99,3 +102,28 @@ class TestTransferBytes:
         rep = transfer_bytes(CHAIN, pl, n_events=0, event_size=112)
         assert rep.bytes_shipped == 0
         assert rep.savings_frac == 0.0
+
+
+class TestPushdownOnQueryOutputs:
+    """Table 1b's claims, with selectivities from the real Q1/Q7 outputs."""
+
+    @staticmethod
+    def _uplinks(qid, op, n_events):
+        size = event_size_for_query(qid)
+        return tuple(
+            transfer_bytes([op], place([op], s), n_events=n_events, event_size=size)
+            for s in ("cloud", "pushdown")
+        )
+
+    def test_q1_ships_less_and_q7_saves_over_99_percent(self, geofence_sdf, stop_sdf):
+        n1 = geofence_sdf.count()
+        n_alerts = q1_alert_filtering(geofence_sdf, zones_df(["maintenance"])).count()
+        cloud, push = self._uplinks("q1", Operator("q1_filter", n_alerts / n1), n1)
+        assert 0 < push.bytes_shipped < cloud.bytes_shipped
+
+        n7 = stop_sdf.count()
+        n_windows = q7_unscheduled_stops(stop_sdf, zones_df(["station", "workshop"])).count()
+        op7 = Operator("q7_windows", n_windows / n7, out_event_size=Q7_WINDOW_RECORD_B)
+        _, push7 = self._uplinks("q7", op7, n7)
+        assert n_windows > 0
+        assert push7.savings_frac > 0.99

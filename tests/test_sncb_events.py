@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.sncb.events import (
-    EVENT_BUILDERS,
     QUERY_SCHEMA,
     SCHEMAS,
     battery_events,
@@ -70,9 +69,6 @@ class TestBuilders:
         a = brake_events(duration_s=120.0, seed=4)
         b = brake_events(duration_s=120.0, seed=4)
         assert a.equals(b)
-
-    def test_builders_registered_per_query(self):
-        assert set(EVENT_BUILDERS) == {f"q{i}" for i in range(1, 9)}
 
     def test_rate_scales_with_dt(self):
         a = stop_events(duration_s=300.0, dt=1.0)
